@@ -16,8 +16,10 @@
 //! `host_cores` and the gate enforces the floor only when it is ≥ 4.
 //!
 //! Full mode simulates 100 machines / 1,000,000 tasks; `ENOKI_BENCH_FAST`
-//! shrinks the fleet (16 machines / 1,600 tasks) without changing the
-//! shard count or the shape of the report. Writes
+//! shrinks the fleet (16 machines / 40,000 tasks) without changing the
+//! shard count or the shape of the report. The fast fleet is still long
+//! enough (each machine spawns about 2,500 tasks, a run takes ≳100 ms) that
+//! per-machine costs growing with run length would show up here. Writes
 //! `results/BENCH_cluster.json`.
 
 use enoki_bench::harness::fast_mode;
@@ -36,9 +38,9 @@ fn spec() -> FleetSpec {
             machines: 16,
             cores_per_machine: 2,
             chains: 200,
-            steps_per_chain: 8,
+            steps_per_chain: 200,
             step_work: Ns::from_us(40),
-            migrate_every: 3,
+            migrate_every: 10,
             candidates: 3,
             seed: 0xC105_7E12,
             trace_capacity: 1024,

@@ -234,7 +234,9 @@ pub fn set_enabled(on: bool) {
 
 /// A lock-free log-linear latency histogram (atomic buckets).
 struct AtomicHistogram {
-    buckets: Box<[AtomicU64]>,
+    /// Allocated by the first [`record`](Self::record); unset reads as
+    /// empty, so never-written `(kind, cpu)` slots cost no bucket memory.
+    buckets: OnceLock<Box<[AtomicU64]>>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -244,7 +246,7 @@ struct AtomicHistogram {
 impl AtomicHistogram {
     fn new() -> AtomicHistogram {
         AtomicHistogram {
-            buckets: (0..NR_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            buckets: OnceLock::new(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -273,7 +275,10 @@ impl AtomicHistogram {
     }
 
     fn record(&self, v: u64) {
-        self.buckets[Self::index_of(v)].fetch_add(1, Ordering::Relaxed);
+        let buckets = self
+            .buckets
+            .get_or_init(|| (0..NR_BUCKETS).map(|_| AtomicU64::new(0)).collect());
+        buckets[Self::index_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
@@ -281,8 +286,11 @@ impl AtomicHistogram {
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let Some(buckets) = self.buckets.get() else {
+            return HistogramSnapshot::empty();
+        };
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets: buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed) as u128,
             min: self.min.load(Ordering::Relaxed),
@@ -558,6 +566,11 @@ pub struct TraceRecord {
 ///
 /// All recording methods are `&self`, lock-free, and safe to call from any
 /// thread; they are no-ops while [`enabled`] is off. Cloneable via `Arc`.
+///
+/// Histogram bucket storage (768 buckets, 6 KiB per `(kind, cpu)` slot) is
+/// allocated on a slot's first sample, not at construction: a handle for
+/// an 80-cpu machine costs kilobytes until something is observed, and
+/// slots that are never written read as empty.
 pub struct SchedulerMetrics {
     name: String,
     nr_cpus: usize,
@@ -796,16 +809,17 @@ impl SchedulerMetrics {
 
     /// Histogram `kind` merged across every cpu slot, accumulated
     /// straight from the atomics into one snapshot (a single allocation).
-    /// Cpus with no samples cost one atomic load each.
+    /// Cpus with no samples have no buckets yet and cost one atomic load
+    /// each.
     pub fn histogram_sum(&self, kind: EventKind) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::empty();
         if let Some(k) = kind.histo_index() {
             for cpu in 0..self.nr_cpus {
                 let h = &self.histos[k * self.nr_cpus + cpu];
-                if h.count.load(Ordering::Relaxed) == 0 {
+                let Some(buckets) = h.buckets.get() else {
                     continue;
-                }
-                for (acc, b) in out.buckets.iter_mut().zip(h.buckets.iter()) {
+                };
+                for (acc, b) in out.buckets.iter_mut().zip(buckets.iter()) {
                     *acc += b.load(Ordering::Relaxed);
                 }
                 out.count += h.count.load(Ordering::Relaxed);
@@ -1207,6 +1221,36 @@ mod tests {
         m.gauge_set(EventKind::Picks, 0, 9); // counter kind as gauge
         m.observe(EventKind::Picks, 0, Ns(5)); // counter kind as histogram
         assert!(m.snapshot().is_empty());
+    }
+
+    #[test]
+    fn histogram_buckets_are_allocated_on_first_sample() {
+        let nr_cpus = 4;
+        let m = SchedulerMetrics::standalone("lazy", nr_cpus);
+        assert!(m.histos.iter().all(|h| h.buckets.get().is_none()));
+        for h in m.histos.iter() {
+            assert_eq!(h.snapshot(), HistogramSnapshot::empty());
+        }
+        for k in 0..NR_HISTO_KINDS {
+            assert_eq!(
+                m.histogram_sum(EventKind::histo_kind(k)),
+                HistogramSnapshot::empty()
+            );
+        }
+        assert!(m.snapshot().is_empty());
+
+        m.observe(EventKind::PickLatency, 2, Ns(300));
+        let written = EventKind::PickLatency.histo_index().unwrap() * nr_cpus + 2;
+        for (i, h) in m.histos.iter().enumerate() {
+            assert_eq!(h.buckets.get().is_some(), i == written, "slot {i}");
+        }
+        let sum = m.histogram_sum(EventKind::PickLatency);
+        assert_eq!(sum.count(), 1);
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.histogram("lazy", 2, EventKind::PickLatency),
+            Some(&sum)
+        );
     }
 
     #[test]

@@ -171,6 +171,9 @@ pub struct Machine {
     events: EventQueue,
     cores: Vec<Core>,
     tasks: Vec<Task>,
+    /// Tasks in `TaskState::Dead`; bumped only by `exit_current`, the one
+    /// place a task dies, so `live_tasks` needs no scan.
+    nr_dead: usize,
     behaviors: Vec<Option<Box<dyn Behavior>>>,
     classes: Vec<Rc<dyn SchedClass>>,
     pipes: Vec<Pipe>,
@@ -208,6 +211,7 @@ impl Machine {
                 })
                 .collect(),
             tasks: Vec::new(),
+            nr_dead: 0,
             behaviors: Vec::new(),
             pipes: Vec::new(),
             futexes: FutexTable::new(),
@@ -333,7 +337,7 @@ impl Machine {
         &self.tasks[pid]
     }
 
-    /// Number of spawned tasks.
+    /// Number of tasks ever spawned, dead ones included. O(1).
     pub fn nr_tasks(&self) -> usize {
         self.tasks.len()
     }
@@ -368,12 +372,14 @@ impl Machine {
         self.events.push(at.max(self.now), Event::External { tag });
     }
 
-    /// Number of tasks not yet dead.
+    /// Number of tasks not yet dead. O(1): a counter, not a scan, so
+    /// `run_until` and `run_to_completion` can consult it every call on a
+    /// machine that has spawned (and reaped) thousands of tasks.
+    ///
+    /// `New` tasks (spawned with a future `start_at`), runnable, running
+    /// and blocked tasks all count as live.
     pub fn live_tasks(&self) -> usize {
-        self.tasks
-            .iter()
-            .filter(|t| t.state != TaskState::Dead)
-            .count()
+        self.tasks.len() - self.nr_dead
     }
 
     /// The cost model in use.
@@ -1281,6 +1287,7 @@ impl Machine {
             t.exited_at = Some(self.now);
             t.gen += 1;
         }
+        self.nr_dead += 1;
         self.cores[cpu].nr_runnable[ci] -= 1;
         self.behaviors[pid] = None;
         self.class_call(ci, Some(cpu), |c, k| c.task_dead(k, pid))?;
@@ -1493,6 +1500,132 @@ mod tests {
         ));
         assert!(m.run_to_completion(Ns::from_secs(1)).unwrap());
         assert!(m.stats().nr_class_calls >= 3, "select+new+pick at minimum");
+    }
+
+    /// `live_tasks` recomputed the slow way, from every task's state.
+    fn scan_live(m: &Machine) -> usize {
+        (0..m.nr_tasks())
+            .filter(|&p| m.task(p).state != TaskState::Dead)
+            .count()
+    }
+
+    #[test]
+    fn live_tasks_counter_matches_a_state_scan() {
+        // One cpu and two classes, so tasks queue (Runnable behind the
+        // Running one), block, start late, switch class and exit.
+        let mut m = Machine::new(Topology::new(1, 1), CostModel::calibrated());
+        m.add_class(Rc::new(RefFifo::new(1)));
+        m.add_class(Rc::new(RefFifo::new(1)));
+        let compute = |ms| Box::new(ProgramBehavior::once(vec![Op::Compute(Ns::from_ms(ms))]));
+        // FIFO order: the waiter and the waker block first, then `a` runs
+        // while `b` queues behind it.
+        let waiter = m.spawn(TaskSpec::new(
+            "waiter",
+            0,
+            Box::new(ProgramBehavior::once(vec![
+                Op::FutexWait(42),
+                Op::Compute(Ns::from_us(100)),
+            ])),
+        ));
+        m.spawn(TaskSpec::new(
+            "waker",
+            0,
+            Box::new(ProgramBehavior::once(vec![
+                Op::Sleep(Ns::from_ms(8)),
+                Op::FutexWake(42, 1),
+            ])),
+        ));
+        let a = m.spawn(TaskSpec::new("a", 0, compute(2)));
+        let b = m.spawn(TaskSpec::new("b", 0, compute(2)));
+        let late = m.spawn(TaskSpec::new("late", 0, compute(1)).at(Ns::from_ms(6)));
+        assert_eq!(m.task(late).state, TaskState::New);
+        assert_eq!(m.live_tasks(), 5);
+        assert_eq!(m.live_tasks(), scan_live(&m));
+
+        m.run_until(Ns::from_us(500)).unwrap();
+        assert_eq!(m.live_tasks(), scan_live(&m));
+        let states: Vec<TaskState> = (0..m.nr_tasks()).map(|p| m.task(p).state).collect();
+        assert!(states.contains(&TaskState::Running), "{states:?}");
+        assert!(states.contains(&TaskState::Runnable), "{states:?}");
+        assert!(states.contains(&TaskState::Blocked), "{states:?}");
+        assert!(states.contains(&TaskState::New), "{states:?}");
+
+        // Switch a queued task and a blocked one; neither changes liveness.
+        let queued = if m.task(a).state == TaskState::Runnable {
+            a
+        } else {
+            b
+        };
+        m.switch_class(queued, 1).unwrap();
+        m.switch_class(waiter, 1).unwrap();
+        assert_eq!(m.task(waiter).state, TaskState::Blocked);
+        assert_eq!(m.live_tasks(), 5);
+        assert_eq!(m.live_tasks(), scan_live(&m));
+
+        let mut saw_dead = false;
+        let mut t = Ns::from_us(500);
+        while t < Ns::from_ms(20) {
+            t += Ns::from_us(250);
+            m.run_until(t).unwrap();
+            assert_eq!(m.live_tasks(), scan_live(&m), "at {t:?}");
+            saw_dead |= (1..=4).contains(&(5 - m.live_tasks()));
+        }
+        assert!(saw_dead, "tasks must exit one by one, not all at once");
+        assert_eq!(m.live_tasks(), 0);
+        assert_eq!(m.nr_tasks(), 5);
+    }
+
+    #[test]
+    fn run_to_completion_reports_whether_the_scan_finds_no_live_task() {
+        let mut done = machine();
+        done.spawn(TaskSpec::new(
+            "t",
+            0,
+            Box::new(ProgramBehavior::once(vec![Op::Sleep(Ns::from_ms(1))])),
+        ));
+        assert!(done.run_to_completion(Ns::from_secs(1)).unwrap());
+        assert_eq!(scan_live(&done), 0);
+
+        // Nobody ever wakes the futex: the machine quiesces with one
+        // blocked task, and another that has not started by the limit.
+        let mut stuck = machine();
+        stuck.spawn(TaskSpec::new(
+            "forever",
+            0,
+            Box::new(ProgramBehavior::once(vec![Op::FutexWait(7)])),
+        ));
+        stuck.spawn(
+            TaskSpec::new(
+                "never",
+                0,
+                Box::new(ProgramBehavior::once(vec![Op::Compute(Ns(1))])),
+            )
+            .at(Ns::from_secs(5)),
+        );
+        assert!(!stuck.run_to_completion(Ns::from_secs(1)).unwrap());
+        assert_eq!(stuck.live_tasks(), 2);
+        assert_eq!(scan_live(&stuck), 2);
+    }
+
+    #[test]
+    fn sampler_stops_once_the_last_task_exits() {
+        let mut m = machine();
+        m.spawn(TaskSpec::new(
+            "t",
+            0,
+            Box::new(ProgramBehavior::once(vec![Op::Sleep(Ns::from_ms(2))])),
+        ));
+        let fired = Rc::new(std::cell::Cell::new(0u32));
+        let f = fired.clone();
+        m.set_sampler(Ns::from_us(100), Box::new(move |_| f.set(f.get() + 1)));
+        // While the task sleeps the idle stretch is still sampled.
+        m.run_until(Ns::from_ms(1)).unwrap();
+        assert_eq!(fired.get(), 10);
+        assert!(m.run_to_completion(Ns::from_secs(1)).unwrap());
+        let at_exit = fired.get();
+        assert!(at_exit >= 20, "sampled up to the exit at 2 ms: {at_exit}");
+        m.run_until(m.now() + Ns::from_ms(10)).unwrap();
+        assert_eq!(fired.get(), at_exit, "a dead machine is not sampled");
     }
 
     #[test]

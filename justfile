@@ -51,6 +51,13 @@ cluster:
     cargo test -q -p enoki --test cluster
     ENOKI_BENCH_FAST=1 cargo run --release -p enoki-bench --bin cluster_bench
 
+# The repo benchmark (BENCHMARK.json): every workload's end-to-end
+# metrics (setup_s, ops_per_s, peak_rss_mb) plus its correctness gate;
+# `trace=1` adds the outside-in per-layer breakdown.
+# `just perfbench fleet 1` traces the cluster workload alone.
+perfbench workload="all" trace="0":
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --trace {{trace}}
+
 # Closed control loop: the shifting-mix switching matrix (meta beats
 # every static policy, zero flapping, bit-identical reruns), the
 # switching record/replay suite, and the meta_switch bench
